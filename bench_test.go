@@ -16,6 +16,7 @@ import (
 
 	"graphquery/internal/bag"
 	"graphquery/internal/cardest"
+	"graphquery/internal/core"
 	"graphquery/internal/coregql"
 	"graphquery/internal/crpq"
 	"graphquery/internal/cypherfrag"
@@ -583,6 +584,34 @@ func BenchmarkE30_WCOJ(b *testing.B) {
 		b.Run(fmt.Sprintf("pairwise/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := crpq.Eval(g, q, crpq.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkE31_JoinQueries runs the six queries of the service benchmark's
+// join workload on social-5000 through core.Engine.QueryCtx: four CRPQs,
+// whose atoms are materialised by product reachability and then joined
+// pairwise, and two GQL patterns, evaluated by the match evaluator. Their
+// cost should follow the atoms' output, not |V|² (EXPERIMENTS.md E31).
+func BenchmarkE31_JoinQueries(b *testing.B) {
+	g := gen.Social(5000, 1)
+	e := NewEngine(g)
+	ctx := context.Background()
+	for _, q := range []struct{ name, lang, query string }{
+		{"mutual-follows", "", "q(x,y) :- follows(x,y), follows(y,x)"},
+		{"two-hop-knows", "", "q(x,z) :- knows(x,y), knows(y,z)"},
+		{"follows-triangle", "", "q(x,y,z) :- follows(x,y), follows(y,z), follows(z,x)"},
+		{"anchored-two-hop", "", "q(y) :- knows(p17, z), knows(z, y)"},
+		{"gql-follows", "gql", "(x:Person)-[:follows]->(y:Person)"},
+		{"gql-two-hop-knows", "gql", "(x)-[:knows]->(y)-[:knows]->(z)"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.QueryCtx(ctx, core.Request{Query: q.query, Lang: q.lang}); err != nil {
 					b.Fatal(err)
 				}
 			}

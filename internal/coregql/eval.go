@@ -3,10 +3,10 @@ package coregql
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/keysort"
 	"graphquery/internal/pg"
 	"graphquery/internal/relalg"
 )
@@ -46,13 +46,13 @@ func EvalPattern(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Path.Len() != ms[j].Path.Len() {
-			return ms[i].Path.Len() < ms[j].Path.Len()
-		}
-		return ms[i].key() < ms[j].key()
-	})
+	sortMatches(ms)
 	return ms, nil
+}
+
+// sortMatches orders matches by path length, then by key.
+func sortMatches(ms []Match) {
+	keysort.Sort(ms, func(i int) (int, string) { return ms[i].Path.Len(), ms[i].key() })
 }
 
 func hasUnboundedRepeat(p Pattern) bool {

@@ -49,12 +49,7 @@ func EvalPatternMeter(g *graph.Graph, p Pattern, opts Options, m *pg.Meter) ([]M
 	if err := m.AddRows(int64(len(ms))); err != nil {
 		return nil, err
 	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Path.Len() != ms[j].Path.Len() {
-			return ms[i].Path.Len() < ms[j].Path.Len()
-		}
-		return ms[i].key() < ms[j].key()
-	})
+	sortMatches(ms)
 	return ms, nil
 }
 

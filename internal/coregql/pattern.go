@@ -217,16 +217,14 @@ func bindingKey(b map[string]graph.Object) string {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
-	var sb strings.Builder
+	out := make([]byte, 0, 16*len(vars))
 	for _, v := range vars {
-		o := b[v]
-		if o.IsEdge() {
-			fmt.Fprintf(&sb, "%s=E%d;", v, o.Index())
-		} else {
-			fmt.Fprintf(&sb, "%s=N%d;", v, o.Index())
-		}
+		out = append(out, v...)
+		out = append(out, '=')
+		out = gpath.AppendObjectKey(out, b[v])
+		out = append(out, ';')
 	}
-	return sb.String()
+	return string(out)
 }
 
 func (m Match) key() string { return m.Path.Key() + "|" + bindingKey(m.Binding) }

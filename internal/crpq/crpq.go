@@ -20,13 +20,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/keysort"
 	"graphquery/internal/lrpq"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
@@ -201,7 +204,7 @@ func (v OutValue) key() string {
 	if v.IsList {
 		return "L" + v.List.Key()
 	}
-	return fmt.Sprintf("N%d", v.Node)
+	return "N" + strconv.Itoa(v.Node)
 }
 
 // Format renders the value with external IDs.
@@ -322,29 +325,28 @@ func EvalCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (*Resu
 	}
 	out := &Result{Head: append([]string(nil), q.Head...)}
 	seen := map[string]struct{}{}
+	var keys []string // keys[i] is the dedup key of out.Rows[i], reused to sort
 	for _, t := range acc.tuples {
 		row := make([]OutValue, len(cols))
-		var kb strings.Builder
 		for i, c := range cols {
 			row[i] = t[c]
-			kb.WriteString(row[i].key())
-			kb.WriteByte('|')
 		}
-		if _, dup := seen[kb.String()]; dup {
+		k := rowKey(row)
+		if _, dup := seen[k]; dup {
 			continue
 		}
-		seen[kb.String()] = struct{}{}
+		seen[k] = struct{}{}
 		if err := opts.Meter.AddRows(1); err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, row)
+		keys = append(keys, k)
 	}
-	sort.Slice(out.Rows, func(i, j int) bool {
-		return rowKey(out.Rows[i]) < rowKey(out.Rows[j])
-	})
+	keysort.Sort(out.Rows, func(i int) (int, string) { return 0, keys[i] })
 	return out, nil
 }
 
+// rowKey renders a tuple as its cells' keys, each followed by '|'.
 func rowKey(row []OutValue) string {
 	var b strings.Builder
 	for _, v := range row {
@@ -393,7 +395,8 @@ func joinRels(a, b atomRelT) atomRelT {
 	}
 	buckets := map[string][]int{}
 	for i, t := range b.tuples {
-		buckets[mk(t, bCols)] = append(buckets[mk(t, bCols)], i)
+		k := mk(t, bCols)
+		buckets[k] = append(buckets[k], i)
 	}
 	var outTuples [][]OutValue
 	for _, t := range a.tuples {
@@ -466,20 +469,26 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 		}
 		if product != nil {
 			// One product BFS per source covers all destinations.
+			// The reach set is ascending, the order of dstCandidates, so
+			// scanning it yields the tuples a probe per candidate would,
+			// in time proportional to the reach set rather than to |V|.
 			reach, err := eval.ReachableFromMeter(product, u, sc, opts.Meter)
 			if err != nil {
 				return nil, err
 			}
-			ok := map[int]bool{}
-			for _, v := range reach {
-				ok[v] = true
-			}
-			for _, v := range dstCandidates {
-				if sameVar && u != v {
-					continue
+			if a.Dst.IsConst || sameVar {
+				v := u
+				if a.Dst.IsConst {
+					v = dstCandidates[0]
 				}
-				if ok[v] {
+				if _, found := slices.BinarySearch(reach, v); found {
 					addTuple(u, v, nil)
+				}
+			} else {
+				for _, v := range reach {
+					if g.NodeAlive(v) { // dstCandidates holds no tombstones
+						addTuple(u, v, nil)
+					}
 				}
 			}
 			if err := opts.Meter.AddRows(int64(len(rows))); err != nil {

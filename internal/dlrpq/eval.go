@@ -11,6 +11,7 @@ import (
 	"graphquery/internal/eval"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/keysort"
 	"graphquery/internal/pg"
 )
 
@@ -600,16 +601,7 @@ func deepen(g *graph.Graph, a *ANFA, src, dst, limit int, m *eval.Meter, cnt *pg
 }
 
 func sortPBs(pbs []gpath.PathBinding, limit int) []gpath.PathBinding {
-	sort.Slice(pbs, func(i, j int) bool {
-		pi, pj := pbs[i], pbs[j]
-		if pi.Path.Len() != pj.Path.Len() {
-			return pi.Path.Len() < pj.Path.Len()
-		}
-		if ki, kj := pi.Path.Key(), pj.Path.Key(); ki != kj {
-			return ki < kj
-		}
-		return pi.Binding.Key() < pj.Binding.Key()
-	})
+	keysort.Sort(pbs, func(i int) (int, string) { return pbs[i].Path.Len(), pbs[i].Key() })
 	if limit > 0 && len(pbs) > limit {
 		pbs = pbs[:limit]
 	}

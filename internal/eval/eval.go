@@ -10,6 +10,7 @@ import (
 	"graphquery/internal/automata"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/keysort"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
@@ -258,12 +259,7 @@ func Paths(g *graph.Graph, e rpq.Expr, src, dst int, mode Mode, opts Options) ([
 
 // sortPaths orders by length then key and applies the limit.
 func sortPaths(paths []gpath.Path, limit int) []gpath.Path {
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].Len() != paths[j].Len() {
-			return paths[i].Len() < paths[j].Len()
-		}
-		return paths[i].Key() < paths[j].Key()
-	})
+	keysort.Sort(paths, func(i int) (int, string) { return paths[i].Len(), paths[i].Key() })
 	if limit > 0 && len(paths) > limit {
 		paths = paths[:limit]
 	}

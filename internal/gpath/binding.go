@@ -1,7 +1,6 @@
 package gpath
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -40,17 +39,7 @@ func (l List) Equal(m List) bool {
 }
 
 // Key returns a canonical string for deduplication.
-func (l List) Key() string {
-	var b strings.Builder
-	for _, o := range l {
-		if o.IsEdge() {
-			fmt.Fprintf(&b, "E%d.", o.Index())
-		} else {
-			fmt.Fprintf(&b, "N%d.", o.Index())
-		}
-	}
-	return b.String()
-}
+func (l List) Key() string { return objectsKey(l) }
 
 // Format renders the list with external IDs, e.g. "list(t2, t3)".
 func (l List) Format(g *graph.Graph) string {
@@ -153,5 +142,7 @@ type PathBinding struct {
 	Binding Binding
 }
 
-// Key returns a canonical deduplication key for the pair.
-func (pb PathBinding) Key() string { return pb.Path.Key() + "|" + pb.Binding.Key() }
+// Key returns a canonical deduplication key for the pair. Comparing keys
+// orders pairs by path key, then binding key: the separator sorts below
+// every byte that can follow a complete path key.
+func (pb PathBinding) Key() string { return pb.Path.Key() + " " + pb.Binding.Key() }

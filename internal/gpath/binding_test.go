@@ -1,6 +1,7 @@
 package gpath
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -140,5 +141,31 @@ func TestPathBindingKey(t *testing.T) {
 	pb2 := PathBinding{Path: p, Binding: nil}
 	if pb1.Key() == pb2.Key() {
 		t.Error("same path, different bindings: keys must differ")
+	}
+}
+
+// TestPathBindingKeyOrder checks that comparing PathBinding keys orders
+// pairs by path key, then binding key, including when one path key is a
+// prefix of the other.
+func TestPathBindingKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randPB := func() PathBinding {
+		objs := make([]graph.Object, rng.Intn(4))
+		for i := range objs {
+			objs[i] = obj(int16(rng.Intn(12)), i%2 == 1)
+		}
+		var b Binding
+		if rng.Intn(2) == 0 {
+			b = Singleton([]string{"y", "z"}[rng.Intn(2)], obj(int16(rng.Intn(12)), true))
+		}
+		return PathBinding{Path: Path{objs: objs}, Binding: b}
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := randPB(), randPB()
+		want := a.Path.Key() < b.Path.Key() ||
+			(a.Path.Key() == b.Path.Key() && a.Binding.Key() < b.Binding.Key())
+		if got := a.Key() < b.Key(); got != want {
+			t.Fatalf("%q < %q = %v, want %v", a.Key(), b.Key(), got, want)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package gpath
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"graphquery/internal/graph"
@@ -237,16 +238,28 @@ func (p Path) Edges() []int {
 
 // Key returns a canonical string identifying the object sequence, for use as
 // a deduplication map key (set semantics).
-func (p Path) Key() string {
-	var b strings.Builder
-	for _, o := range p.objs {
-		if o.IsEdge() {
-			fmt.Fprintf(&b, "E%d.", o.Index())
-		} else {
-			fmt.Fprintf(&b, "N%d.", o.Index())
-		}
+func (p Path) Key() string { return objectsKey(p.objs) }
+
+// objectsKey renders an object sequence as "N3.E7.N4.": the key format
+// shared by paths and lists.
+func objectsKey(objs []graph.Object) string {
+	b := make([]byte, 0, 8*len(objs))
+	for _, o := range objs {
+		b = AppendObjectKey(b, o)
+		b = append(b, '.')
 	}
-	return b.String()
+	return string(b)
+}
+
+// AppendObjectKey appends the canonical key of one object, "N<index>" or
+// "E<index>", to b.
+func AppendObjectKey(b []byte, o graph.Object) []byte {
+	if o.IsEdge() {
+		b = append(b, 'E')
+	} else {
+		b = append(b, 'N')
+	}
+	return strconv.AppendInt(b, int64(o.Index()), 10)
 }
 
 // Equal reports whether p and q are the same object sequence.

@@ -1,10 +1,9 @@
 package gql
 
 import (
-	"sort"
-
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/keysort"
 )
 
 // MatchPaths evaluates a pattern and returns the bound paths only — the
@@ -80,12 +79,7 @@ func ShortestOf(g *graph.Graph, paths []gpath.Path) []gpath.Path {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Len() != out[j].Len() {
-			return out[i].Len() < out[j].Len()
-		}
-		return out[i].Key() < out[j].Key()
-	})
+	keysort.Sort(out, func(i int) (int, string) { return out[i].Len(), out[i].Key() })
 	return out
 }
 

@@ -9,14 +9,17 @@
 package gql
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"graphquery/internal/coregql"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/keysort"
 	"graphquery/internal/pg"
 )
 
@@ -155,24 +158,18 @@ type BindVal struct {
 	List   []graph.Object
 }
 
-func (v BindVal) key() string {
-	objKey := func(o graph.Object) string {
-		if o.IsEdge() {
-			return fmt.Sprintf("E%d", o.Index())
-		}
-		return fmt.Sprintf("N%d", o.Index())
-	}
+// appendKey appends the value's canonical key to b: "N3" for a node, "E7"
+// for an edge, "[N3,E7,]" for a list.
+func (v BindVal) appendKey(b []byte) []byte {
 	if !v.IsList {
-		return objKey(v.One)
+		return gpath.AppendObjectKey(b, v.One)
 	}
-	var b strings.Builder
-	b.WriteByte('[')
+	b = append(b, '[')
 	for _, o := range v.List {
-		b.WriteString(objKey(o))
-		b.WriteByte(',')
+		b = gpath.AppendObjectKey(b, o)
+		b = append(b, ',')
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(b, ']')
 }
 
 // Format renders the value with external IDs.
@@ -200,16 +197,16 @@ func (m Match) key() string {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
-	var b strings.Builder
-	b.WriteString(m.Path.Key())
-	b.WriteByte('|')
+	b := make([]byte, 0, 64)
+	b = append(b, m.Path.Key()...)
+	b = append(b, '|')
 	for _, v := range vars {
-		b.WriteString(v)
-		b.WriteByte('=')
-		b.WriteString(m.B[v].key())
-		b.WriteByte(';')
+		b = append(b, v...)
+		b = append(b, '=')
+		b = m.B[v].appendKey(b)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // ErrUnbounded mirrors the other evaluators.
@@ -247,13 +244,13 @@ func EvalPattern(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Path.Len() != ms[j].Path.Len() {
-			return ms[i].Path.Len() < ms[j].Path.Len()
-		}
-		return ms[i].key() < ms[j].key()
-	})
+	sortMatches(ms)
 	return ms, nil
+}
+
+// sortMatches orders matches by path length, then by key.
+func sortMatches(ms []Match) {
+	keysort.Sort(ms, func(i int) (int, string) { return ms[i].Path.Len(), ms[i].key() })
 }
 
 func hasUnbounded(p Pattern) bool {
@@ -293,17 +290,10 @@ func evalRec(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 			if err := opts.step(); err != nil {
 				return nil, err
 			}
-			if !g.NodeAlive(i) {
+			if !n.admits(g, i) {
 				continue
 			}
-			if n.Label != "" && g.Node(i).Label != n.Label {
-				continue
-			}
-			b := map[string]BindVal{}
-			if n.Var != "" {
-				b[n.Var] = BindVal{One: graph.MakeNodeObject(i)}
-			}
-			out = append(out, Match{Path: gpath.OfNode(i), B: b})
+			out = append(out, Match{Path: gpath.OfNode(i), B: n.binding(i)})
 		}
 		return out, nil
 	case EdgeP:
@@ -326,6 +316,23 @@ func evalRec(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 		}
 		return out, nil
 	case ConcatP:
+		// A node pattern beside another pattern only filters and binds
+		// that pattern's endpoint, so it is checked there instead of being
+		// materialised as one match per graph node and hash-joined.
+		if node, ok := n.Right.(NodeP); ok {
+			left, err := evalRec(g, n.Left, opts)
+			if err != nil {
+				return nil, err
+			}
+			return extendAtNode(g, node, left, false, opts)
+		}
+		if node, ok := n.Left.(NodeP); ok {
+			right, err := evalRec(g, n.Right, opts)
+			if err != nil {
+				return nil, err
+			}
+			return extendAtNode(g, node, right, true, opts)
+		}
 		left, err := evalRec(g, n.Left, opts)
 		if err != nil {
 			return nil, err
@@ -380,6 +387,88 @@ func holdsOnSingletons(g *graph.Graph, c coregql.Condition, b map[string]BindVal
 	return c.Holds(g, flat)
 }
 
+// admits reports whether node i matches the node pattern: alive, and
+// carrying its label if it has one.
+func (n NodeP) admits(g *graph.Graph, i int) bool {
+	return g.NodeAlive(i) && (n.Label == "" || g.Node(i).Label == n.Label)
+}
+
+// binding returns the binding of the node pattern's match at node i.
+func (n NodeP) binding(i int) map[string]BindVal {
+	b := map[string]BindVal{}
+	if n.Var != "" {
+		b[n.Var] = BindVal{One: graph.MakeNodeObject(i)}
+	}
+	return b
+}
+
+// extendAtNode is concatMatches of ms with the matches of node, without
+// materialising the node's matches: each match whose target (or, with
+// atSource, source) admits the pattern is kept, with the node variable
+// merged in by mergeBindings in concatMatches' argument order. One step is
+// charged per candidate match. The output equals concatMatches': with
+// atSource that emits by ascending node index, then in ms order, which a
+// stable sort by source gives.
+//
+// Every evalRec match is a node-to-node path, so p·path(v) at its endpoint
+// v is p itself, and ms, like every evalRec result, is duplicate-free. So
+// two outputs can only coincide when the node variable was bound in one
+// input and absent from another (union branches with partial bindings);
+// only then does the output need dedup's key builds.
+func extendAtNode(g *graph.Graph, node NodeP, ms []Match, atSource bool, opts Options) ([]Match, error) {
+	type cand struct{ node, idx int }
+	var cands []cand
+	for i, m := range ms {
+		if err := opts.step(); err != nil {
+			return nil, err
+		}
+		v, ok := m.Path.Tgt(g)
+		if atSource {
+			v, ok = m.Path.Src(g)
+		}
+		if !ok || !node.admits(g, v) {
+			continue
+		}
+		if opts.MaxLen > 0 && m.Path.Len() > opts.MaxLen {
+			continue
+		}
+		cands = append(cands, cand{node: v, idx: i})
+	}
+	if atSource {
+		slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.node, b.node) })
+	}
+	var out []Match
+	var bound, unbound bool
+	for _, c := range cands {
+		m := ms[c.idx]
+		// Two calls, not swapped arguments: the node's binding passed as
+		// mergeBindings' b does not escape, so it costs no allocation.
+		var merged map[string]BindVal
+		var ok bool
+		var err error
+		if atSource {
+			merged, ok, err = mergeBindings(node.binding(c.node), m.B)
+		} else {
+			merged, ok, err = mergeBindings(m.B, node.binding(c.node))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		if node.Var != "" {
+			_, had := m.B[node.Var]
+			bound, unbound = bound || had, unbound || !had
+		}
+		out = append(out, Match{Path: m.Path, B: merged})
+	}
+	if bound && unbound {
+		out = dedup(out)
+	}
+	return out, nil
+}
+
 // concatMatches joins matches: node-to-node path composition plus binding
 // merge — singleton∩singleton joins on equality (this is GQL's repeated-
 // variable join), list∩list concatenates, mixed is an error.
@@ -420,7 +509,12 @@ func concatMatches(g *graph.Graph, left, right []Match, opts Options) ([]Match, 
 	return dedup(out), nil
 }
 
+// mergeBindings merges b into a. Binding maps are never mutated once
+// built, so when b adds nothing a is returned as is.
 func mergeBindings(a, b map[string]BindVal) (map[string]BindVal, bool, error) {
+	if len(b) == 0 {
+		return a, true, nil
+	}
 	out := make(map[string]BindVal, len(a)+len(b))
 	for v, val := range a {
 		out[v] = val
@@ -456,6 +550,12 @@ func evalRepeat(g *graph.Graph, n RepeatP, opts Options) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
+	return repeatMatches(g, n, base, opts)
+}
+
+// repeatMatches iterates the subpattern's matches base between n.Min and
+// n.Max times.
+func repeatMatches(g *graph.Graph, n RepeatP, base []Match, opts Options) ([]Match, error) {
 	// Promote the base matches: every bound variable contributes a
 	// one-iteration list.
 	unit := make([]Match, len(base))
@@ -491,6 +591,7 @@ func evalRepeat(g *graph.Graph, n RepeatP, opts Options) ([]Match, error) {
 		seen[m.key()] = struct{}{}
 	}
 	for j := 1; n.Max < 0 || j <= n.Max; j++ {
+		var err error
 		level, err = concatMatches(g, level, unit, opts)
 		if err != nil {
 			return nil, err

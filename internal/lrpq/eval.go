@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/keysort"
 	"graphquery/internal/pg"
 )
 
@@ -159,16 +159,7 @@ func runBFSLimit(g *graph.Graph, a *VNFA, src, dst, limit int, m *eval.Meter, cn
 }
 
 func sortPBs(pbs []gpath.PathBinding, limit int) []gpath.PathBinding {
-	sort.Slice(pbs, func(i, j int) bool {
-		pi, pj := pbs[i], pbs[j]
-		if pi.Path.Len() != pj.Path.Len() {
-			return pi.Path.Len() < pj.Path.Len()
-		}
-		if ki, kj := pi.Path.Key(), pj.Path.Key(); ki != kj {
-			return ki < kj
-		}
-		return pi.Binding.Key() < pj.Binding.Key()
-	})
+	keysort.Sort(pbs, func(i int) (int, string) { return pbs[i].Path.Len(), pbs[i].Key() })
 	if limit > 0 && len(pbs) > limit {
 		pbs = pbs[:limit]
 	}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"graphquery/internal/keysort"
 	"graphquery/internal/pg"
 )
 
@@ -214,7 +215,7 @@ func Evaluate(doc string, e Expr) []Match {
 }
 
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].key() < ms[j].key() })
+	keysort.Sort(ms, func(i int) (int, string) { return 0, ms[i].key() })
 }
 
 // Extract is the common extraction idiom: evaluates .* e .* over the
